@@ -30,12 +30,17 @@ constexpr std::size_t kPayloadBytes = 256;
 /// calls start(); the loop runs on a worker thread while the benchmark
 /// thread sends and spins on its own delivery counter. One iteration
 /// never overlaps the next, so the socket buffers cannot overflow and
-/// loopback delivery is lossless.
+/// loopback delivery is lossless. A decorator declared after the rig
+/// must stop() it before leaving scope: the loop thread may still fire
+/// the decorator's timers.
 struct LoopbackRig {
   LoopbackRig()
       : udp(loop, ClusterConfig::localhost(testkit::reserve_udp_ports(2))) {}
 
-  ~LoopbackRig() {
+  ~LoopbackRig() { stop(); }
+
+  /// Stops the loop and joins its thread; idempotent.
+  void stop() {
     loop.stop();
     if (thread.joinable()) {
       thread.join();
@@ -104,6 +109,9 @@ void BM_UdpLoopbackBatched(benchmark::State& state) {
     sent += frames;
     rig.wait_for(sent);
   }
+  // `batching` is destroyed before `rig`: join the loop first, or its
+  // flush timer could run against the freed decorator.
+  rig.stop();
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
   state.SetBytesProcessed(static_cast<std::int64_t>(sent * kPayloadBytes));
 }

@@ -1,9 +1,9 @@
 #include "check/history.h"
 
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 
+#include "util/atomic_file.h"
 #include "util/ensure.h"
 
 namespace cbc::check {
@@ -63,16 +63,8 @@ SiteHistory SiteHistory::decode(Reader& reader) {
 void SiteHistory::save(const std::string& path) const {
   Writer writer;
   encode(writer);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "SiteHistory: cannot write '" + tmp + "'");
-    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-              static_cast<std::streamsize>(writer.size()));
-    require(out.good(), "SiteHistory: short write to '" + tmp + "'");
-  }
-  require(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "SiteHistory: rename to '" + path + "' failed");
+  require(write_file_atomic(path, writer.bytes()),
+          "SiteHistory: cannot write '" + path + "'");
 }
 
 SiteHistory SiteHistory::load(const std::string& path) {

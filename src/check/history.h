@@ -45,7 +45,7 @@ struct SiteHistory {
   void encode(Writer& writer) const;
   static SiteHistory decode(Reader& reader);
 
-  /// Atomic (tmp + rename) save. Throws InvalidArgument on I/O failure.
+  /// Atomic (write_file_atomic) save. Throws InvalidArgument on I/O failure.
   void save(const std::string& path) const;
 
   /// Throws InvalidArgument on missing file, truncation, bad magic, or

@@ -1,8 +1,8 @@
 #include "fault/checkpoint.h"
 
-#include <cstdio>
 #include <fstream>
 
+#include "util/atomic_file.h"
 #include "util/ensure.h"
 
 namespace cbc::fault {
@@ -39,16 +39,8 @@ Checkpoint Checkpoint::decode(Reader& reader) {
 void Checkpoint::save(const std::string& path) const {
   Writer writer;
   encode(writer);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "Checkpoint: cannot write '" + tmp + "'");
-    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-              static_cast<std::streamsize>(writer.size()));
-    require(out.good(), "Checkpoint: short write to '" + tmp + "'");
-  }
-  require(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "Checkpoint: rename to '" + path + "' failed");
+  require(write_file_atomic(path, writer.bytes()),
+          "Checkpoint: cannot write '" + path + "'");
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {

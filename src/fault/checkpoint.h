@@ -53,7 +53,8 @@ struct Checkpoint {
   /// Throws SerdeError / InvalidArgument on truncation or bad magic.
   static Checkpoint decode(Reader& reader);
 
-  /// Atomically persists to `path` (tmp + rename); throws on I/O failure.
+  /// Atomically persists to `path` (write_file_atomic); throws on I/O
+  /// failure.
   void save(const std::string& path) const;
   /// Loads and validates a checkpoint file; throws on any failure.
   static Checkpoint load(const std::string& path);

@@ -19,6 +19,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 
 namespace {
 
@@ -89,11 +90,9 @@ int main(int argc, char** argv) {
   if (summary_only) {
     return 0;
   }
-  std::ofstream out(output, std::ios::trunc);
-  if (!out) {
+  if (!cbc::write_file_atomic(output, cbc::obs::render_trace_events(events))) {
     std::cerr << "cbc_flight: cannot write " << output << "\n";
     return 1;
   }
-  out << cbc::obs::render_trace_events(events);
-  return out ? 0 : 1;
+  return 0;
 }

@@ -305,11 +305,6 @@ std::string MetricsRegistry::render_prometheus() const {
   return out.str();
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 std::string prometheus_name(const std::string& name) {
   std::string out = "cbc_";
   out.reserve(name.size() + 4);

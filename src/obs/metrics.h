@@ -188,9 +188,6 @@ class MetricsRegistry {
   /// Prometheus plaintext exposition (text/plain; version 0.0.4).
   [[nodiscard]] std::string render_prometheus() const;
 
-  /// Process-wide default registry (cbc_node's exposition surface).
-  [[nodiscard]] static MetricsRegistry& global();
-
  private:
   // Ranked BELOW every component lock (kRankRegistry): the scrape path
   // holds it while collectors take component locks. Never resolve a

@@ -2,8 +2,9 @@
 
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <sstream>
+
+#include "util/atomic_file.h"
 
 namespace cbc::obs {
 
@@ -170,12 +171,7 @@ std::string Tracer::render_chrome_json() const {
 }
 
 bool Tracer::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << render_chrome_json();
-  return static_cast<bool>(out);
+  return write_file_atomic(path, render_chrome_json());
 }
 
 std::string json_escape(std::string_view text) {

@@ -98,8 +98,8 @@ class Tracer {
   [[nodiscard]] std::uint64_t dropped() const;
   [[nodiscard]] std::vector<TraceEvent> events_snapshot() const;
 
-  /// Writes `{"traceEvents":[...]}` (one event per line). Returns false
-  /// when the file cannot be opened.
+  /// Atomically writes `{"traceEvents":[...]}` (one event per line).
+  /// Returns false when the file cannot be written.
   bool write_file(const std::string& path) const;
   [[nodiscard]] std::string render_chrome_json() const;
 

@@ -17,13 +17,13 @@
 // one-line summary (event/deliver/flow counts) to stderr. Exit 1 on any
 // malformed input; exit 2 on usage errors.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "obs/json_lite.h"
 #include "obs/trace_merge.h"
+#include "util/atomic_file.h"
 
 namespace {
 
@@ -74,13 +74,10 @@ int main(int argc, char** argv) {
     if (!output.empty()) {
       const std::string merged =
           cbc::obs::merge_trace_docs(docs, {.align = align});
-      std::ofstream out(output, std::ios::trunc);
-      if (!out) {
+      if (!cbc::write_file_atomic(output, merged)) {
         std::cerr << "cbc_trace_merge: cannot write " << output << "\n";
         return 1;
       }
-      out << merged;
-      out.close();
       const cbc::obs::TraceSummary summary = cbc::obs::summarize_chrome_trace(
           cbc::obs::parse_chrome_trace(merged));
       std::cerr << "cbc_trace_merge: " << inputs.size() << " inputs, "
@@ -99,13 +96,12 @@ int main(int argc, char** argv) {
         std::cout << cbc::obs::render_latency_report(report);
       }
       if (!report_json_path.empty()) {
-        std::ofstream out(report_json_path, std::ios::trunc);
-        if (!out) {
+        const std::string json = cbc::obs::latency_report_json(report) + "\n";
+        if (!cbc::write_file_atomic(report_json_path, json)) {
           std::cerr << "cbc_trace_merge: cannot write " << report_json_path
                     << "\n";
           return 1;
         }
-        out << cbc::obs::latency_report_json(report) << "\n";
       }
     }
   } catch (const std::exception& e) {

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "apps/install.h"
 #include "check/history.h"
@@ -241,8 +244,8 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
 }
 
 TEST(Cluster, TotalOrderSmokeConverges) {
-  // ASend deterministic-merge total order over real UDP: every member
-  // submits up front; the merged sequence (and thus the digest) must be
+  // ASend deterministic-merge total order over real UDP: one round of
+  // the round driver; the merged sequence (and thus the digest) must be
   // identical everywhere.
   ClusterHarness cluster(
       {.nodes = 3, .rounds = 1, .ops_per_round = 30, .discipline = "total"});
@@ -254,7 +257,8 @@ TEST(Cluster, TotalOrderSmokeConverges) {
   cluster.terminate_all();
   const NodeReport first = *cluster.report(0);
   expect_clean(first);
-  EXPECT_EQ(first.at("delivered"), std::to_string(3 * 31));
+  // Each member's 30 ops and round marker, plus the leader's sync.
+  EXPECT_EQ(first.at("delivered"), std::to_string(3 * (30 + 1) + 1));
   for (std::size_t id = 1; id < 3; ++id) {
     const NodeReport report = *cluster.report(id);
     expect_clean(report);
@@ -265,8 +269,8 @@ TEST(Cluster, TotalOrderSmokeConverges) {
 
 TEST(Cluster, TotalOrderConvergesAcrossPartitionHeal) {
   // ASend total order under scripted adversity: a partition isolates
-  // node 2 from 200ms to 1.7s while everyone's up-front submissions are
-  // in flight, plus light loss on every link. Reliability must retransmit
+  // node 2 from 200ms to 1.7s while the round's submissions are in
+  // flight, plus light loss on every link. Reliability must retransmit
   // across the heal and the deterministic merge must still produce one
   // identical sequence (and digest) at every member.
   ClusterHarness cluster({.nodes = 3,
@@ -284,13 +288,84 @@ TEST(Cluster, TotalOrderConvergesAcrossPartitionHeal) {
   cluster.terminate_all();
   const NodeReport first = *cluster.report(0);
   expect_clean(first);
-  EXPECT_EQ(first.at("delivered"), std::to_string(3 * 21));
+  // Each member's 20 ops and round marker, plus the leader's sync.
+  EXPECT_EQ(first.at("delivered"), std::to_string(3 * (20 + 1) + 1));
   for (std::size_t id = 1; id < 3; ++id) {
     const NodeReport report = *cluster.report(id);
     expect_clean(report);
     EXPECT_EQ(report.at("digest"), first.at("digest"));
     EXPECT_EQ(report.at("delivered"), first.at("delivered"));
   }
+}
+
+TEST(Cluster, TotalOrderRunsEveryRound) {
+  // --discipline total runs --rounds rounds of the same round driver as
+  // the causal discipline (markers plus the leader's sync), and reports
+  // done only after the last round's sync.
+  ClusterHarness cluster(
+      {.nodes = 3, .rounds = 3, .ops_per_round = 10, .discipline = "total"});
+  cluster.start_all();
+  for (std::size_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(cluster.wait_for_report(id, /*require_done=*/true))
+        << "node " << id << " never finished";
+  }
+  cluster.terminate_all();
+  const NodeReport first = *cluster.report(0);
+  expect_clean(first);
+  EXPECT_EQ(first.at("rounds_started"), "3");
+  EXPECT_EQ(first.at("syncs"), "3");
+  EXPECT_EQ(first.at("digest_count"), "3");
+  EXPECT_EQ(first.at("delivered"), std::to_string(3 * (3 * (10 + 1) + 1)));
+  for (std::size_t id = 1; id < 3; ++id) {
+    const NodeReport report = *cluster.report(id);
+    expect_clean(report);
+    EXPECT_EQ(report.at("rounds_started"), "3");
+    EXPECT_EQ(report.at("syncs"), "3");
+    EXPECT_EQ(report.at("digest"), first.at("digest"));
+    EXPECT_EQ(report.at("delivered"), first.at("delivered"));
+  }
+}
+
+/// Runs cbc_node with `args` (stderr silenced) and returns its exit
+/// status, or -1 when it did not exit normally.
+int run_node(const std::vector<std::string>& args) {
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    return -1;
+  }
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) {
+      ::dup2(null_fd, STDERR_FILENO);
+    }
+    std::vector<std::string> words = {CBC_NODE_BIN};
+    words.insert(words.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& word : words) {
+      argv.push_back(word.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cluster, MalformedNumericFlagsAreUsageErrors) {
+  // std::stoull("-1") is 2^64-1, which once made `--rounds -1` run
+  // forever. Flags are parsed before the config is read, so a usage
+  // error (2) is told apart from the missing config file (1).
+  const std::string missing = "/nonexistent/cbc_node_config.txt";
+  EXPECT_EQ(run_node({"--config", missing, "--id", "0", "--rounds", "-1"}),
+            2);
+  EXPECT_EQ(run_node({"--config", missing, "--id", "0", "--ops", "7abc"}), 2);
+  EXPECT_EQ(run_node({"--config", missing, "--id", "-1"}), 2);
+  EXPECT_EQ(run_node({"--config", missing, "--id", "0", "--metrics-port",
+                      "70000"}),
+            2);
+  EXPECT_EQ(run_node({"--config", missing, "--id", "0", "--rounds", "1"}), 1);
 }
 
 TEST(Cluster, RecordedHistoriesSatisfyCausalConsistencyForEveryObject) {

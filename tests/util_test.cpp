@@ -1,9 +1,19 @@
-// Unit tests for src/util: ensure, rng, serde, stats, logging.
+// Unit tests for src/util: ensure, rng, serde, stats, logging, atomic
+// file writes, flag parsing.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "util/atomic_file.h"
 #include "util/ensure.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/serde.h"
@@ -354,6 +364,90 @@ TEST(Logging, SinkReceivesEnabledLevels) {
 TEST(Logging, LevelNames) {
   EXPECT_EQ(log_level_name(LogLevel::kTrace), "TRACE");
   EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
+}
+
+// ---------- atomic file writes ----------
+
+bool file_exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+TEST(AtomicFile, ReplacesContentsAndLeavesNoTmpBehind) {
+  const std::string path = testing::TempDir() + "atomic_file_ok.txt";
+  ASSERT_TRUE(write_file_atomic(path, std::string_view("first\n")));
+  ASSERT_TRUE(write_file_atomic(path, std::string_view("second\n")));
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "second\n");
+  EXPECT_FALSE(file_exists(path + ".tmp." + std::to_string(::getpid())));
+}
+
+TEST(AtomicFile, MissingDirectoryReportsFailureAndLeavesNoFile) {
+  const std::string dir = testing::TempDir() + "atomic_file_no_such_dir";
+  const std::string path = dir + "/report.txt";
+  ASSERT_FALSE(file_exists(dir));
+  EXPECT_FALSE(write_file_atomic(path, std::string_view("done=1\n")));
+  EXPECT_FALSE(file_exists(path));
+  EXPECT_FALSE(file_exists(path + ".tmp." + std::to_string(::getpid())));
+  EXPECT_FALSE(file_exists(dir));
+}
+
+TEST(AtomicFile, FailedRenameRemovesTheTmpFile) {
+  // A directory in the target's place makes rename(2) fail after the
+  // tmp file was fully written: the tmp must not be left behind.
+  const std::string path = testing::TempDir() + "atomic_file_dir_target";
+  ::rmdir(path.c_str());
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+  EXPECT_FALSE(write_file_atomic(path, std::string_view("x")));
+  EXPECT_FALSE(file_exists(path + ".tmp." + std::to_string(::getpid())));
+  ::rmdir(path.c_str());
+}
+
+// ---------- flag parsing ----------
+
+TEST(Flags, ParseUnsignedAcceptsPlainDecimal) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("42"), 42u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_unsigned("65535", 0, 65535), 65535u);
+  EXPECT_EQ(parse_unsigned("1", 1, 1), 1u);
+}
+
+TEST(Flags, ParseUnsignedRejectsSignsJunkAndOverflow) {
+  // std::stoull takes "-1" as 2^64-1 and std::stoul takes "7abc" as 7.
+  for (const char* bad : {"-1", "+1", "-0", "7abc", "", " 7", "7 ", "0x10",
+                          "1e3", "3.0", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_unsigned(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Flags, ParseUnsignedEnforcesTheRange) {
+  EXPECT_FALSE(parse_unsigned("65536", 0, 65535).has_value());
+  EXPECT_FALSE(parse_unsigned("0", 1, 10).has_value());
+  EXPECT_FALSE(parse_unsigned("11", 1, 10).has_value());
+}
+
+TEST(Flags, CursorReportsBadValuesAsInvalidArgument) {
+  std::vector<std::string> words = {"prog", "--rounds", "-1", "--ops", "3",
+                                    "--bogus", "--id"};
+  std::vector<char*> argv;
+  for (std::string& word : words) {
+    argv.push_back(word.data());
+  }
+  FlagCursor cursor("prog", static_cast<int>(argv.size()), argv.data());
+  ASSERT_TRUE(cursor.next());
+  EXPECT_EQ(cursor.flag(), "--rounds");
+  EXPECT_THROW(cursor.number(), InvalidArgument);
+  ASSERT_TRUE(cursor.next());
+  EXPECT_EQ(cursor.flag(), "--ops");
+  EXPECT_EQ(cursor.number(1, 10), 3u);
+  ASSERT_TRUE(cursor.next());
+  EXPECT_THROW(cursor.unknown(), InvalidArgument);
+  ASSERT_TRUE(cursor.next());
+  EXPECT_THROW(cursor.value(), InvalidArgument);  // --id has no value
+  EXPECT_FALSE(cursor.next());
 }
 
 }  // namespace
